@@ -72,9 +72,12 @@ pub fn pagerank_power_iteration(g: &Csr, damping: f64, iterations: u32) -> Vec<f
     rank
 }
 
-/// Re-export of the union-find WCC oracle (labels are component-minimum
-/// vertex ids, the same fixpoint as the min-label analytic).
-pub use ariadne_graph::stats::weakly_connected_components;
+/// Weakly connected component labels by union-find: every vertex is
+/// labelled with the smallest vertex id in its component, the same
+/// fixpoint as the min-label [`crate::Wcc`] analytic. (The union-find
+/// itself lives in `ariadne_graph::stats`, which uses it for graph
+/// statistics.)
+pub use ariadne_graph::stats::weakly_connected_components as wcc_labels;
 
 /// Forward-reachable set from `source` following out-edges; oracle for
 /// forward lineage (Query 3).
@@ -148,6 +151,18 @@ mod tests {
         for &x in &r {
             assert!((x - 1.0).abs() < 1e-9);
         }
+    }
+
+    #[test]
+    fn wcc_labels_are_component_minimum_ids() {
+        // {0, 2, 4} joined against edge direction, {1, 3}, isolated 5.
+        let mut b = GraphBuilder::new();
+        b.add_edge(VertexId(4), VertexId(2), 1.0);
+        b.add_edge(VertexId(2), VertexId(0), 1.0);
+        b.add_edge(VertexId(3), VertexId(1), 1.0);
+        b.ensure_vertex(VertexId(5));
+        let g = b.build();
+        assert_eq!(wcc_labels(&g), vec![0, 1, 0, 1, 0, 5]);
     }
 
     #[test]

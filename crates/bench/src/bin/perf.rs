@@ -1,10 +1,8 @@
-//! Performance harness: message plane (flat vs naive, baseline vs
-//! capture) plus layered offline replay.
+//! Performance harness: engine message plane (baseline vs capture) plus
+//! layered offline replay.
 //!
 //! **Engine section.** Runs PageRank, SSSP and WCC on seeded R-MAT
-//! graphs under both message planes ([`MessagePlane::Flat`] and
-//! [`MessagePlane::Naive`]) at a sweep of thread counts, in both
-//! baseline mode (combiners honoured) and capture mode (combiners
+//! graphs at a sweep of thread counts, in both baseline mode (combiners honoured) and capture mode (combiners
 //! disabled, as a provenance-capture run requires). Reported per run:
 //! supersteps/sec, messages/sec, payload bytes moved, peak buffered
 //! bytes, allocator traffic (calls + bytes, via a counting global
@@ -87,7 +85,7 @@ use ariadne_graph::generators::rmat::{rmat, RmatConfig};
 use ariadne_graph::{Csr, GraphDelta, VertexId};
 use ariadne_pql::Value;
 use ariadne_provenance::{ProvEncode, ProvStore};
-use ariadne_vc::{Engine, EngineConfig, IncrementalMode, MessagePlane, RunMetrics, VertexProgram};
+use ariadne_vc::{Engine, EngineConfig, IncrementalMode, RunMetrics, VertexProgram};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -142,7 +140,6 @@ fn alloc_snapshot() -> (u64, u64) {
 /// One measured engine run.
 struct Measurement {
     analytic: &'static str,
-    plane: MessagePlane,
     mode: &'static str, // "baseline" | "capture"
     threads: usize,
     supersteps: u32,
@@ -174,20 +171,12 @@ impl Measurement {
     }
 }
 
-fn plane_name(p: MessagePlane) -> &'static str {
-    match p {
-        MessagePlane::Flat => "flat",
-        MessagePlane::Naive => "naive",
-    }
-}
-
 /// Run `program` `reps` times; keep the best wall time and the last
 /// repetition's metrics + allocator deltas (steady-state behaviour).
 fn measure<P: VertexProgram>(
     analytic: &'static str,
     program: &P,
     graph: &Csr,
-    plane: MessagePlane,
     mode: &'static str,
     threads: usize,
     reps: usize,
@@ -195,7 +184,6 @@ fn measure<P: VertexProgram>(
     let config = EngineConfig {
         threads,
         use_combiner: mode == "baseline",
-        plane,
         ..EngineConfig::default()
     };
     let engine = Engine::new(config);
@@ -219,7 +207,6 @@ fn measure<P: VertexProgram>(
     let phases = m.phase_totals();
     Measurement {
         analytic,
-        plane,
         mode,
         threads,
         supersteps: m.num_supersteps(),
@@ -761,7 +748,7 @@ fn measurement_json(m: &Measurement) -> String {
     let mut s = String::new();
     let _ = write!(
         s,
-        "{{\"analytic\":\"{}\",\"plane\":\"{}\",\"mode\":\"{}\",\"threads\":{},\
+        "{{\"analytic\":\"{}\",\"plane\":\"flat\",\"mode\":\"{}\",\"threads\":{},\
          \"supersteps\":{},\"messages\":{},\"messages_delivered\":{},\"message_bytes\":{},\
          \"buffered_messages\":{},\"buffered_bytes\":{},\"peak_buffered_bytes\":{},\
          \"phase_compute_ns\":{},\"phase_combine_ns\":{},\"phase_scatter_ns\":{},\
@@ -769,7 +756,6 @@ fn measurement_json(m: &Measurement) -> String {
          \"secs\":{},\"supersteps_per_sec\":{},\"messages_per_sec\":{},\
          \"alloc_calls\":{},\"alloc_bytes\":{}}}",
         m.analytic,
-        plane_name(m.plane),
         m.mode,
         m.threads,
         m.supersteps,
@@ -879,37 +865,30 @@ fn main() {
     let wcc = Wcc;
 
     let mut runs: Vec<Measurement> = Vec::new();
-    for &plane in &[MessagePlane::Flat, MessagePlane::Naive] {
-        for &threads in &cli.threads {
-            for &mode in &["baseline", "capture"] {
-                eprintln!(
-                    "perf: plane={} threads={} mode={}",
-                    plane_name(plane),
-                    threads,
-                    mode
-                );
-                runs.push(measure(
-                    "pagerank", &pagerank, &graph, plane, mode, threads, cli.reps,
-                ));
-                runs.push(measure(
-                    "sssp", &sssp, &weighted, plane, mode, threads, cli.reps,
-                ));
-                runs.push(measure("wcc", &wcc, &graph, plane, mode, threads, cli.reps));
-            }
+    for &threads in &cli.threads {
+        for &mode in &["baseline", "capture"] {
+            eprintln!("perf: threads={threads} mode={mode}");
+            runs.push(measure(
+                "pagerank", &pagerank, &graph, mode, threads, cli.reps,
+            ));
+            runs.push(measure("sssp", &sssp, &weighted, mode, threads, cli.reps));
+            runs.push(measure("wcc", &wcc, &graph, mode, threads, cli.reps));
         }
     }
 
-    // Cross-checks: both planes must agree on logical message traffic.
+    // Cross-check: logical message traffic must not depend on the
+    // thread count.
     for a in &runs {
         for b in &runs {
-            if a.analytic == b.analytic && a.mode == b.mode && a.threads == b.threads {
+            if a.analytic == b.analytic && a.mode == b.mode {
                 assert_eq!(
                     (a.supersteps, a.messages, a.message_bytes),
                     (b.supersteps, b.messages, b.message_bytes),
-                    "planes disagree on logical traffic for {} {} t={}",
+                    "thread counts {} and {} disagree on logical traffic for {} {}",
+                    a.threads,
+                    b.threads,
                     a.analytic,
-                    a.mode,
-                    a.threads
+                    a.mode
                 );
             }
         }
@@ -1456,35 +1435,12 @@ back_lineage(x, d) :- back_trace(x, i), value(x, d, i), i = 0.";
         &mut mutation_rows,
     );
 
-    // Summary: flat-over-naive supersteps/sec speedup per (analytic, threads)
-    // in baseline mode, plus the SSSP combiner-path allocation comparison.
-    let lookup = |analytic: &str, plane: MessagePlane, mode: &str, threads: usize| {
-        runs.iter().find(|m| {
-            m.analytic == analytic && m.plane == plane && m.mode == mode && m.threads == threads
-        })
-    };
-    let speedup_map = |mode: &str| {
-        let mut out = String::from("{");
-        for (i, &threads) in cli.threads.iter().enumerate() {
-            let flat = lookup("pagerank", MessagePlane::Flat, mode, threads);
-            let naive = lookup("pagerank", MessagePlane::Naive, mode, threads);
-            let ratio = match (flat, naive) {
-                (Some(f), Some(n)) => f.supersteps_per_sec() / n.supersteps_per_sec(),
-                _ => f64::NAN,
-            };
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{threads}\":{}", json_f64(ratio));
-        }
-        out.push('}');
-        out
-    };
-    let speedups = speedup_map("baseline");
-    let capture_speedups = speedup_map("capture");
-
-    let sssp_flat = lookup("sssp", MessagePlane::Flat, "baseline", max_threads).unwrap();
-    let sssp_naive = lookup("sssp", MessagePlane::Naive, "baseline", max_threads).unwrap();
+    // Summary: the SSSP baseline run's allocation and buffering at the
+    // top thread count.
+    let sssp_baseline = runs
+        .iter()
+        .find(|m| m.analytic == "sssp" && m.mode == "baseline" && m.threads == max_threads)
+        .expect("sssp baseline run at the top thread count");
 
     let mut json = String::new();
     json.push_str("{\n");
@@ -1630,21 +1586,13 @@ back_lineage(x, d) :- back_trace(x, i), value(x, d, i), i = 0.";
     );
     let _ = writeln!(
         json,
-        "    \"pagerank_flat_over_naive_supersteps_per_sec\": {speedups},"
+        "    \"sssp_baseline_alloc_calls\": {{\"flat\": {}}},",
+        sssp_baseline.alloc_calls
     );
     let _ = writeln!(
         json,
-        "    \"pagerank_capture_flat_over_naive_supersteps_per_sec\": {capture_speedups},"
-    );
-    let _ = writeln!(
-        json,
-        "    \"sssp_baseline_alloc_calls\": {{\"flat\": {}, \"naive\": {}}},",
-        sssp_flat.alloc_calls, sssp_naive.alloc_calls
-    );
-    let _ = writeln!(
-        json,
-        "    \"sssp_baseline_buffered_bytes\": {{\"flat\": {}, \"naive\": {}}}",
-        sssp_flat.buffered_bytes, sssp_naive.buffered_bytes
+        "    \"sssp_baseline_buffered_bytes\": {{\"flat\": {}}}",
+        sssp_baseline.buffered_bytes
     );
     json.push_str("  }\n}\n");
 
@@ -1653,9 +1601,8 @@ back_lineage(x, d) :- back_trace(x, i), value(x, d, i), i = 0.";
 
     // Human-readable recap on stdout.
     println!(
-        "{:<9} {:<6} {:<9} {:>3} {:>6} {:>12} {:>14} {:>14} {:>12} {:>12}",
+        "{:<9} {:<9} {:>3} {:>6} {:>12} {:>14} {:>14} {:>12} {:>12}",
         "analytic",
-        "plane",
         "mode",
         "thr",
         "steps",
@@ -1667,9 +1614,8 @@ back_lineage(x, d) :- back_trace(x, i), value(x, d, i), i = 0.";
     );
     for m in &runs {
         println!(
-            "{:<9} {:<6} {:<9} {:>3} {:>6} {:>12.1} {:>14.0} {:>14} {:>12} {:>12}",
+            "{:<9} {:<9} {:>3} {:>6} {:>12.1} {:>14.0} {:>14} {:>12} {:>12}",
             m.analytic,
-            plane_name(m.plane),
             m.mode,
             m.threads,
             m.supersteps,

@@ -140,7 +140,7 @@ mod obs_handles {
     layered_counter!(
         phase_inject_ns,
         "layered_phase_inject_ns_total",
-        "nanoseconds spent reading and injecting layers (wall clock)",
+        "nanoseconds spent reading layers and injecting layer and shipped tuples (wall clock)",
         false
     );
     layered_counter!(
@@ -152,7 +152,7 @@ mod obs_handles {
     layered_counter!(
         phase_merge_ns,
         "layered_phase_merge_ns_total",
-        "nanoseconds spent merging per-chunk outboxes (wall clock)",
+        "nanoseconds spent merging per-chunk outputs and final results (wall clock)",
         false
     );
 }
@@ -247,11 +247,16 @@ pub struct LayeredRun {
     /// Query-evaluation counters summed in chunk order
     /// (thread-invariant).
     pub query_stats: EvalStats,
-    /// Wall-clock nanoseconds reading and injecting layers.
+    /// Wall-clock nanoseconds injecting tuples into vertex states:
+    /// reading each layer and inserting its tuples at their owners, plus
+    /// delivering every round's shipped replicas to their neighbours.
     pub phase_inject_ns: u64,
     /// Wall-clock nanoseconds in evaluation rounds (workers included).
     pub phase_eval_ns: u64,
-    /// Wall-clock nanoseconds merging per-chunk outboxes.
+    /// Wall-clock nanoseconds merging: folding each round's per-chunk
+    /// counters and evaluated states back into the driver, and the
+    /// final ascending-vertex merge of IDB results. Ship delivery is
+    /// not included (see `phase_inject_ns`).
     pub phase_merge_ns: u64,
     /// Damage a [`ReadPolicy::Degraded`] replay skipped over, summed
     /// across every layer read. Always clean under
@@ -642,6 +647,10 @@ impl Driver<'_> {
             }
             ships.push(out.ship);
         }
+        self.run.phase_merge_ns += t1.elapsed().as_nanos() as u64;
+
+        // Deliver the shipped replicas: injection into neighbour states.
+        let t2 = Instant::now();
         for ship in ships {
             for entry in ship {
                 for (pred, tuples) in &entry.fresh {
@@ -655,7 +664,7 @@ impl Driver<'_> {
                 }
             }
         }
-        self.run.phase_merge_ns += t1.elapsed().as_nanos() as u64;
+        self.run.phase_inject_ns += t2.elapsed().as_nanos() as u64;
         Ok(())
     }
 

@@ -78,12 +78,11 @@ impl Partitioner for RangePartitioner {
 /// empty chunks) except for the degenerate `n == 0` table, which keeps a
 /// single empty chunk so the engine loop stays uniform.
 ///
-/// Two constructors:
-/// - [`ChunkTable::uniform`] cuts ~equal *vertex* counts (the historical
-///   layout, kept for the naive message plane and as a fallback);
-/// - [`ChunkTable::degree_weighted`] cuts ~equal *edge* work using the CSR
-///   out-degree prefix sums, so one hub-heavy chunk of a power-law graph
-///   doesn't serialize the superstep.
+/// [`ChunkTable::degree_weighted`] cuts ~equal *edge* work using the CSR
+/// out-degree prefix sums, so one hub-heavy chunk of a power-law graph
+/// doesn't serialize the superstep. The cut is a binary search per
+/// boundary over prefix sums the CSR already holds, so the engine simply
+/// recuts at the start of every run.
 ///
 /// Boundaries can be snapped to multiples of an `align` quantum; the
 /// engine aligns chunks to its sender-block size so floating-point
@@ -94,28 +93,6 @@ pub struct ChunkTable {
 }
 
 impl ChunkTable {
-    /// Build a table of `chunks` ~equal-vertex chunks over `0..n`,
-    /// boundaries snapped to multiples of `align` (use `1` for none).
-    pub fn uniform(n: usize, chunks: usize, align: usize) -> Self {
-        assert!(chunks > 0, "need at least one chunk");
-        let align = align.max(1);
-        if n == 0 {
-            return ChunkTable { starts: vec![0, 0] };
-        }
-        let per = n.div_ceil(chunks).max(1);
-        let mut starts = vec![0];
-        let mut cut = 0usize;
-        while cut + per < n {
-            cut += per;
-            let snapped = Self::snap(cut, align, *starts.last().unwrap(), n);
-            if snapped > *starts.last().unwrap() && snapped < n {
-                starts.push(snapped);
-            }
-        }
-        starts.push(n);
-        ChunkTable { starts }
-    }
-
     /// Build a table of up to `chunks` chunks over the vertices of `csr`
     /// such that each chunk owns roughly equal work, where the work of
     /// vertex `v` is `1 + out_degree(v)` (the unit term keeps huge chunks
@@ -196,40 +173,6 @@ impl ChunkTable {
     pub fn starts(&self) -> &[usize] {
         &self.starts
     }
-
-    /// Revalidate this table against a mutated `csr`: keep the existing
-    /// boundaries when every chunk's degree weight is still within
-    /// `tolerance` (fractional drift, e.g. `0.25`) of the ideal share,
-    /// otherwise recut with [`ChunkTable::degree_weighted`]. A change in
-    /// vertex count always forces a recut (boundaries would no longer
-    /// cover the id space).
-    ///
-    /// Chunk layout never affects results — the engine is bit-identical
-    /// at every thread count and therefore at every chunk layout — so
-    /// keeping a slightly stale table after a small mutation batch trades
-    /// only load balance, never correctness. Returns the table to use and
-    /// whether a recut happened.
-    pub fn rebalance(&self, csr: &Csr, tolerance: f64, align: usize) -> (ChunkTable, bool) {
-        let n = csr.num_vertices();
-        let chunks = self.num_chunks();
-        if n != self.num_vertices() {
-            return (ChunkTable::degree_weighted(csr, chunks, align.max(1)), true);
-        }
-        if n == 0 || chunks <= 1 {
-            return (self.clone(), false);
-        }
-        let offsets = csr.out_offsets();
-        let total = (n + offsets[n]) as f64;
-        let ideal = total / chunks as f64;
-        for c in 0..chunks {
-            let (s, e) = self.bounds(c);
-            let work = ((e - s) + (offsets[e] - offsets[s])) as f64;
-            if work > ideal * (1.0 + tolerance) {
-                return (ChunkTable::degree_weighted(csr, chunks, align.max(1)), true);
-            }
-        }
-        (self.clone(), false)
-    }
 }
 
 /// `partition_point` over the virtual slice `0..len`: the smallest `i`
@@ -300,10 +243,19 @@ mod tests {
     }
 
     #[test]
-    fn uniform_table_covers_everything() {
+    fn degree_weighted_table_covers_everything() {
         for n in [0usize, 1, 5, 16, 100, 101] {
+            let mut b = GraphBuilder::new();
+            for i in 1..n as u64 {
+                b.add_edge(VertexId(i / 2), VertexId(i), 1.0);
+            }
+            if n > 0 {
+                b.ensure_vertex(VertexId(n as u64 - 1));
+            }
+            let g = b.build();
+            assert_eq!(g.num_vertices(), n);
             for chunks in [1usize, 2, 3, 7, 16] {
-                let t = ChunkTable::uniform(n, chunks, 1);
+                let t = ChunkTable::degree_weighted(&g, chunks, 1);
                 assert_eq!(t.starts()[0], 0);
                 assert_eq!(t.num_vertices(), n);
                 assert!(t.num_chunks() >= 1);
@@ -320,8 +272,8 @@ mod tests {
     }
 
     #[test]
-    fn uniform_alignment_respected() {
-        let t = ChunkTable::uniform(100, 7, 16);
+    fn degree_weighted_alignment_respected() {
+        let t = ChunkTable::degree_weighted(&Csr::empty(100), 7, 16);
         for &s in &t.starts()[1..t.starts().len() - 1] {
             assert_eq!(s % 16, 0, "interior boundary {s} not 16-aligned");
         }
@@ -380,46 +332,6 @@ mod tests {
             })
             .sum();
         assert_eq!(covered, 3);
-    }
-
-    #[test]
-    fn rebalance_keeps_table_under_small_drift() {
-        let mut b = GraphBuilder::new();
-        for i in 0..100u64 {
-            b.add_edge(VertexId(i), VertexId((i + 1) % 100), 1.0);
-        }
-        let g = b.build();
-        let t = ChunkTable::degree_weighted(&g, 4, 1);
-        // Same graph: nothing to do.
-        let (kept, recut) = t.rebalance(&g, 0.25, 1);
-        assert!(!recut);
-        assert_eq!(kept, t);
-        // Pile edges onto one chunk until its share exceeds tolerance.
-        let mut b = GraphBuilder::new();
-        for i in 0..100u64 {
-            b.add_edge(VertexId(i), VertexId((i + 1) % 100), 1.0);
-        }
-        for i in 0..50u64 {
-            b.add_edge(VertexId(3), VertexId(i), 1.0);
-        }
-        let skewed = b.build();
-        let (recut_table, recut) = t.rebalance(&skewed, 0.25, 1);
-        assert!(recut);
-        assert_eq!(recut_table.num_vertices(), 100);
-    }
-
-    #[test]
-    fn rebalance_recuts_on_vertex_growth() {
-        let g1 = Csr::empty(10);
-        let t = ChunkTable::uniform(10, 2, 1);
-        let g2 = Csr::empty(15);
-        let (t2, recut) = t.rebalance(&g2, 0.5, 1);
-        assert!(recut);
-        assert_eq!(t2.num_vertices(), 15);
-        let (same, recut) = t2.rebalance(&g2, 0.5, 1);
-        assert!(!recut);
-        assert_eq!(same.num_vertices(), 15);
-        let _ = g1;
     }
 
     #[test]

@@ -9,8 +9,11 @@ fn t(vals: &[i64]) -> Tuple {
     vals.iter().map(|&v| Value::Int(v)).collect()
 }
 
+/// One layer's relations: predicate name and its tuples.
+type Layer = Vec<(String, Vec<Tuple>)>;
+
 /// Logical content of every layer, materialized.
-fn all_layers(store: &ProvStore) -> Vec<(u32, Vec<(String, Vec<Tuple>)>)> {
+fn all_layers(store: &ProvStore) -> Vec<(u32, Layer)> {
     let mut out = Vec::new();
     if let Some(max) = store.max_superstep() {
         for s in 0..=max {

@@ -252,14 +252,23 @@ impl QueryPage {
     }
 }
 
+/// The served pair: a store and the graph its current epoch was
+/// captured over. Layered replay reads the graph for ship routes and
+/// static predicates, so the two only ever change together.
+struct Served {
+    store: ProvStore,
+    graph: Csr,
+}
+
 /// The resident query service: one opened store, one graph, shared
 /// compiled programs, replay cache, and admission gate.
 pub struct QueryService {
-    graph: Csr,
     /// RwLock, not Mutex: queries are concurrent readers within one
     /// mutation epoch; [`QueryService::append_epoch`] is the only
-    /// writer and runs at a barrier between query batches.
-    store: RwLock<ProvStore>,
+    /// writer and runs at a barrier between query batches. Store and
+    /// graph sit behind the one lock, so a request always sees a
+    /// matching pair.
+    served: RwLock<Served>,
     config: ServeConfig,
     compiled: Mutex<HashMap<u64, Arc<CompiledQuery>>>,
     cache: Mutex<ReplayCache>,
@@ -272,8 +281,7 @@ impl QueryService {
         let cache = ReplayCache::new(config.cache_budget_bytes);
         let admission = Admission::new(config.admission);
         QueryService {
-            graph,
-            store: RwLock::new(store),
+            served: RwLock::new(Served { store, graph }),
             config,
             compiled: Mutex::new(HashMap::new()),
             cache: Mutex::new(cache),
@@ -288,27 +296,32 @@ impl QueryService {
 
     /// Read-access to the store being served (for reporting).
     pub fn with_store<R>(&self, f: impl FnOnce(&ProvStore) -> R) -> R {
-        f(&self.store.read().unwrap())
+        f(&self.served.read().unwrap().store)
     }
 
     /// The store's current mutation epoch. Tokens minted before the
     /// current epoch are refused with a 410.
     pub fn store_epoch(&self) -> u64 {
-        self.store.read().unwrap().mutation_epoch()
+        self.served.read().unwrap().store.mutation_epoch()
     }
 
     /// Append a post-mutation capture to the served store as a delta
-    /// epoch and invalidate every cursor and cached result minted
-    /// before it. In-flight queries finish against the old epoch (the
-    /// write lock waits for their read locks); everything after sees
-    /// the new epoch only.
-    pub fn append_epoch(&self, next: &ProvStore) -> Result<EpochStats, ServeError> {
-        let stats = self
-            .store
-            .write()
-            .unwrap()
-            .append_epoch(next)
-            .map_err(|e| ServeError::Replay(e.to_string()))?;
+    /// epoch, swap in `graph` — the mutated graph `next` was captured
+    /// over — and invalidate every cursor and cached result minted
+    /// before it. In-flight queries finish against the old epoch and
+    /// graph (the write lock waits for their read locks); everything
+    /// after sees the new pair only. If the append fails, the graph is
+    /// not swapped.
+    pub fn append_epoch(&self, graph: Csr, next: &ProvStore) -> Result<EpochStats, ServeError> {
+        let stats = {
+            let mut served = self.served.write().unwrap();
+            let stats = served
+                .store
+                .append_epoch(next)
+                .map_err(|e| ServeError::Replay(e.to_string()))?;
+            served.graph = graph;
+            stats
+        };
         // Stale keys are already unreachable (the epoch is in the key);
         // clearing frees their bytes now rather than under LRU pressure.
         self.cache.lock().unwrap().clear();
@@ -329,8 +342,10 @@ impl QueryService {
         };
 
         // One read lock for the whole request: every decision below
-        // (epoch check, clamp, replay) sees one consistent store state.
-        let store = self.store.read().unwrap();
+        // (epoch check, clamp, replay) sees one consistent store and
+        // graph.
+        let served = self.served.read().unwrap();
+        let store = &served.store;
         let epoch = store.mutation_epoch();
 
         // Resolve the cursor first: it pins fingerprint, range, offset,
@@ -407,14 +422,8 @@ impl QueryService {
         let (result, cache_hit) = match cached {
             Some(r) => (r, true),
             None => {
-                let run = run_layered_range(
-                    &self.graph,
-                    &store,
-                    &query,
-                    &layered,
-                    requested,
-                )
-                .map_err(|e| ServeError::Replay(e.to_string()))?;
+                let run = run_layered_range(&served.graph, store, &query, &layered, requested)
+                    .map_err(|e| ServeError::Replay(e.to_string()))?;
                 debug_assert_eq!(
                     run.layer_range,
                     if run.layers == 0 { run.layer_range } else { effective },
@@ -739,7 +748,7 @@ mod tests {
             )
             .unwrap();
         }
-        let stats = svc.append_epoch(&next).expect("epoch append");
+        let stats = svc.append_epoch(path(3), &next).expect("epoch append");
         assert_eq!(stats.epoch, 1);
         assert_eq!(svc.store_epoch(), 1);
 
@@ -787,6 +796,135 @@ mod tests {
             .expect("current-epoch cursor resumes fine");
     }
 
+    /// Regression: `append_epoch` used to swap in the post-mutation
+    /// store but keep serving the pre-mutation graph, which layered
+    /// replay reads for ship routes — after an insert batch some
+    /// lineage answers came back short. Every backward-lineage root's
+    /// concatenated cursor pages must equal a direct replay over the
+    /// mutated graph.
+    #[test]
+    fn append_epoch_serves_the_mutated_graph() {
+        use ariadne::session::Ariadne;
+        use ariadne::{compile, CaptureSpec};
+        use ariadne_analytics::Sssp;
+        use ariadne_graph::generators::{rmat, RmatConfig};
+        use ariadne_graph::{GraphDelta, MutableGraph, VertexId};
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        const LINEAGE: &str = "back_trace(x, i) :- superstep(x, i), i = $sigma, x = $alpha.
+back_trace(x, i) :- send_message(x, y, m, i), back_trace(y, j), j = i + 1.
+back_lineage(x, d) :- back_trace(x, i), value(x, d, i), i = 0.";
+
+        let g = rmat(RmatConfig {
+            scale: 6,
+            edge_factor: 4,
+            seed: 11,
+            ..Default::default()
+        });
+        let sssp = Sssp::new(g.max_out_degree_vertex().expect("vertices"));
+        let session = Ariadne::default();
+        let base = session.capture(&sssp, &g, &CaptureSpec::full()).unwrap();
+        let config = ServeConfig {
+            admission: AdmissionConfig {
+                quota_burst: 1e15,
+                quota_per_sec: 0.0,
+                ..AdmissionConfig::default()
+            },
+            ..ServeConfig::default()
+        };
+        let svc = QueryService::new(g.clone(), base.store, config);
+
+        // An insert batch, captured over the mutated graph.
+        let mut rng = StdRng::seed_from_u64(5);
+        let n = g.num_vertices() as u64;
+        let mut delta = GraphDelta::new();
+        for _ in 0..32 {
+            delta.add_edge(
+                VertexId(rng.gen_range(0..n)),
+                VertexId(rng.gen_range(0..n)),
+                1.0,
+            );
+        }
+        let mut mutable = MutableGraph::new(g.clone());
+        mutable.apply(&delta);
+        let mutated = mutable.csr().clone();
+        let next = session
+            .capture(&sssp, &mutated, &CaptureSpec::full())
+            .unwrap();
+        svc.append_epoch(mutated.clone(), &next.store)
+            .expect("epoch append");
+
+        // Every (α, σ) the new epoch recorded as active.
+        let roots: Vec<(u64, u32)> = svc.with_store(|store| {
+            let mut roots = Vec::new();
+            for step in 0..=store.max_superstep().expect("layers") {
+                for (pred, tuples) in store.layer(step).unwrap() {
+                    if pred == "superstep" {
+                        roots.extend(tuples.iter().filter_map(|t| match t.first() {
+                            Some(Value::Id(x)) => Some((*x, step)),
+                            _ => None,
+                        }));
+                    }
+                }
+            }
+            roots
+        });
+        assert!(!roots.is_empty());
+
+        let layered = LayeredConfig::default();
+        let replay = |graph: &Csr, query: &CompiledQuery| {
+            let run = svc
+                .with_store(|store| run_layered_range(graph, store, query, &layered, None))
+                .unwrap();
+            let mut rows = Vec::new();
+            for (pred, _) in run.query_results.iter() {
+                for t in run.query_results.sorted(pred) {
+                    rows.push((pred.to_string(), t));
+                }
+            }
+            rows
+        };
+        let mut stale_differs = 0;
+        for (alpha, sigma) in roots {
+            let (alpha, sigma) = (format!("v{alpha}"), sigma.to_string());
+            let params = [("alpha", alpha.as_str()), ("sigma", sigma.as_str())];
+            let mut p = Params::new();
+            for (k, v) in params {
+                p = p.with(k, parse_param_value(v));
+            }
+            let query = compile(LINEAGE, p).unwrap();
+            let expected = replay(&mutated, &query);
+            if replay(&g, &query) != expected {
+                stale_differs += 1;
+            }
+
+            let mut paged = Vec::new();
+            let mut cursor: Option<String> = None;
+            loop {
+                let page = svc
+                    .execute(&QueryRequest {
+                        pql: Some(LINEAGE),
+                        params: &params,
+                        cursor: cursor.as_deref(),
+                        limit: Some(4),
+                        ..Default::default()
+                    })
+                    .unwrap();
+                paged.extend(page.rows().iter().cloned());
+                match page.next_cursor {
+                    Some(next) => cursor = Some(next),
+                    None => break,
+                }
+            }
+            assert_eq!(paged, expected, "root {alpha}@{sigma}");
+        }
+        // The batch must matter, or the test could not tell the graphs apart.
+        assert!(
+            stale_differs > 0,
+            "no root's lineage depends on the inserted edges"
+        );
+    }
     #[test]
     fn layer_ranges_are_distinct_results() {
         let svc = service(6, ServeConfig::default());

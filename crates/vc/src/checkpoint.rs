@@ -12,7 +12,7 @@
 //! # On-disk format (version 2)
 //!
 //! Version 2 extends the [`SuperstepMetrics`] encoding with the buffered
-//! message/byte counters introduced by the flat message plane
+//! message/byte counters introduced with the flat message plane
 //! (`buffered_messages`, `buffered_bytes`). Version-1 files are rejected
 //! with a typed error; there is no silent migration.
 //!

@@ -1,4 +1,4 @@
-//! Cross-thread-count determinism of the flat message plane.
+//! Cross-thread-count determinism of the engine's message plane.
 //!
 //! The engine's contract is that an N-thread run is **bit-identical** to
 //! the sequential reference — values, aggregates, superstep counts and
@@ -16,7 +16,7 @@ use ariadne_analytics::als::{Als, AlsConfig};
 use ariadne_analytics::{PageRank, Sssp, Wcc};
 use ariadne_graph::generators::{rmat, BipartiteRatings, RatingsConfig, RmatConfig};
 use ariadne_graph::{Csr, VertexId};
-use ariadne_vc::{Engine, EngineConfig, MessagePlane, RunResult, VertexProgram};
+use ariadne_vc::{Engine, EngineConfig, RunResult, VertexProgram};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -127,12 +127,11 @@ fn wcc_deterministic_across_threads() {
 
 /// Message conservation: every message routed into an outbox is observed
 /// in a destination inbox — `messages_sent == messages_delivered` per
-/// superstep, on both planes, with and without combiners, at every
-/// thread count. Both counters are computed at *independent* sites
+/// superstep, with and without combiners, at every thread count. Both counters are computed at *independent* sites
 /// (routing side vs. inbox occupancy), so this is a real cross-check of
 /// the delivery pipeline, not a restatement.
 #[test]
-fn messages_sent_equal_messages_delivered_on_both_planes() {
+fn messages_sent_equal_messages_delivered() {
     let g = graph();
     let pr = PageRank {
         supersteps: 8,
@@ -142,30 +141,27 @@ fn messages_sent_equal_messages_delivered_on_both_planes() {
     let weighted = graph().map_weights(|_, _, _| 0.05 + rng.gen::<f64>());
     let sssp = Sssp::new(VertexId(0));
 
-    for plane in [MessagePlane::Flat, MessagePlane::Naive] {
-        for use_combiner in [true, false] {
-            for t in [1, 2, 7] {
-                let config = EngineConfig {
-                    threads: t,
-                    use_combiner,
-                    plane,
-                    ..EngineConfig::default()
-                };
-                for (name, metrics) in [
-                    ("pagerank", Engine::new(config.clone()).run(&pr, &g).metrics),
-                    (
-                        "sssp",
-                        Engine::new(config.clone()).run(&sssp, &weighted).metrics,
-                    ),
-                ] {
-                    for s in &metrics.supersteps {
-                        assert_eq!(
-                            s.messages_sent, s.messages_delivered,
-                            "{name} [{plane:?} combiner={use_combiner} t={t}]: \
-                             superstep {} lost or duplicated messages",
-                            s.superstep
-                        );
-                    }
+    for use_combiner in [true, false] {
+        for t in [1, 2, 7] {
+            let config = EngineConfig {
+                threads: t,
+                use_combiner,
+                ..EngineConfig::default()
+            };
+            for (name, metrics) in [
+                ("pagerank", Engine::new(config.clone()).run(&pr, &g).metrics),
+                (
+                    "sssp",
+                    Engine::new(config.clone()).run(&sssp, &weighted).metrics,
+                ),
+            ] {
+                for s in &metrics.supersteps {
+                    assert_eq!(
+                        s.messages_sent, s.messages_delivered,
+                        "{name} [combiner={use_combiner} t={t}]: \
+                         superstep {} lost or duplicated messages",
+                        s.superstep
+                    );
                 }
             }
         }
@@ -174,24 +170,23 @@ fn messages_sent_equal_messages_delivered_on_both_planes() {
 
 /// Buffered-byte accounting versus logical traffic. With no combiner the
 /// outboxes materialize exactly the logical traffic
-/// (`buffered_bytes == message_bytes` per superstep). With a combiner,
-/// delivery-side folding makes the stored traffic a strict lower bound
-/// (`message_bytes < buffered_bytes`), and sender-side combining — which
-/// engages only for *exact* combiners like SSSP's min, and only on the
-/// flat plane — additionally shrinks what the outboxes ever materialize:
-/// the flat plane's `buffered_bytes` must come in strictly below the
-/// naive plane's for the same run.
+/// (`buffered_bytes == message_bytes` per superstep) — the raw
+/// per-source buffering. With a combiner, delivery-side folding makes
+/// the stored traffic a strict lower bound (`message_bytes <
+/// buffered_bytes`), and sender-side combining — which engages only for
+/// *exact* combiners like SSSP's min — additionally shrinks what the
+/// outboxes ever materialize: the combined run must buffer strictly fewer
+/// envelopes and bytes than the same run without its combiner.
 #[test]
 fn buffered_bytes_track_combiner_activity() {
     let mut rng = StdRng::seed_from_u64(41);
     let weighted = graph().map_weights(|_, _, _| 0.05 + rng.gen::<f64>());
     let sssp = Sssp::new(VertexId(0));
 
-    let run_with = |plane: MessagePlane, use_combiner: bool| {
+    let run_with = |threads: usize, use_combiner: bool| {
         Engine::new(EngineConfig {
-            threads: 2,
+            threads,
             use_combiner,
-            plane,
             ..EngineConfig::default()
         })
         .run(&sssp, &weighted)
@@ -199,37 +194,46 @@ fn buffered_bytes_track_combiner_activity() {
     };
 
     // No combiner: buffered == logical, exactly, per superstep.
-    for plane in [MessagePlane::Flat, MessagePlane::Naive] {
-        let m = run_with(plane, false);
-        for s in &m.supersteps {
-            assert_eq!(
-                s.buffered_bytes, s.message_bytes,
-                "[{plane:?} capture]: superstep {} buffered more than it sent",
-                s.superstep
-            );
-            assert_eq!(s.buffered_messages, s.messages_sent);
-        }
+    let raw = run_with(2, false);
+    for s in &raw.supersteps {
+        assert_eq!(
+            s.buffered_bytes, s.message_bytes,
+            "[capture]: superstep {} buffered more than it sent",
+            s.superstep
+        );
+        assert_eq!(s.buffered_messages, s.messages_sent);
     }
 
     // Exact combiner active: folding strictly compresses the traffic.
-    let flat = run_with(MessagePlane::Flat, true);
-    let naive = run_with(MessagePlane::Naive, true);
+    let combined = run_with(2, true);
     assert!(
-        flat.total_message_bytes() < flat.total_buffered_bytes(),
+        combined.total_message_bytes() < combined.total_buffered_bytes(),
         "combined stored bytes should be strictly below buffered bytes"
     );
-    // Sender-side combining (flat plane only) materializes strictly less
-    // than the naive plane's raw per-source buffering.
+    // Sender-side combining materializes strictly less than the raw
+    // per-source buffering of the uncombined run.
     assert!(
-        flat.total_buffered_bytes() < naive.total_buffered_bytes(),
-        "sender-side exact combining should shrink outbox materialization \
-         (flat {} vs naive {})",
-        flat.total_buffered_bytes(),
-        naive.total_buffered_bytes()
+        combined.total_buffered_messages() < raw.total_buffered_messages(),
+        "sender-side exact combining should shrink outbox envelopes \
+         (combined {} vs uncombined {})",
+        combined.total_buffered_messages(),
+        raw.total_buffered_messages()
     );
-    // Logical traffic still agrees across planes.
-    assert_eq!(flat.total_message_bytes(), naive.total_message_bytes());
-    assert_eq!(flat.total_messages(), naive.total_messages());
+    assert!(
+        combined.total_buffered_bytes() < raw.total_buffered_bytes(),
+        "sender-side exact combining should shrink outbox bytes \
+         (combined {} vs uncombined {})",
+        combined.total_buffered_bytes(),
+        raw.total_buffered_bytes()
+    );
+    // Logical traffic of the combined run does not depend on the chunk
+    // layout that sender-side combining folds along.
+    let sequential = run_with(1, true);
+    assert_eq!(
+        combined.total_message_bytes(),
+        sequential.total_message_bytes()
+    );
+    assert_eq!(combined.total_messages(), sequential.total_messages());
 }
 
 /// Run-local deterministic observability counters are bit-identical
